@@ -425,6 +425,7 @@ class CheckpointEngine:
         never include storage work at all; the service flushes shard
         queues on its own clock and ``drain()`` is the only barrier.
         """
+        image.seal_metadata()  # one JSON encode serves every use below
         if self.options.use_cow:
             for key in sorted(save_keys):
                 if key in image.pages:
@@ -437,13 +438,13 @@ class CheckpointEngine:
             self.clock.advance_us(self.costs.copy_pages_us(len(save_keys)))
             self._capture_keys = None
             self._cow_pending.clear()
-        result.image_bytes = image.nbytes
+        result.image_bytes = image_bytes = image.nbytes
         if deferred:
             receipt = self.storage.store(image, charge_time=False)
             duration = self.costs.disk_write_us(
                 receipt.accounted_bytes, sequential=True)
             if self.storage.compress:
-                duration += self.costs.compress_us(image.nbytes)
+                duration += self.costs.compress_us(image_bytes)
             result.writeback_us = int(duration)
         else:
             receipt = self.storage.store(image, charge_time=True)
@@ -459,7 +460,7 @@ class CheckpointEngine:
         self._m_backlog.observe(result.writeback_backlog_bytes)
         _unc, comp = self.storage.size_of(image.checkpoint_id)
         result.image_bytes_compressed = comp
-        self._recent_buffer_sizes.append(image.nbytes)
+        self._recent_buffer_sizes.append(image_bytes)
 
     def _read_live_page(self, key):
         vpid, region_start, page_index = key

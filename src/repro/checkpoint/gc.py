@@ -233,8 +233,9 @@ def thin_checkpoints(storage, history, policy, now_us, anchors=None,
     whatever the policy says: ids in ``protect`` (branch fork points,
     last-good recovery anchors), the newest instant, any image in a
     survivor's transitive required set (``skipped_required`` — thinning
-    must never create dangling page locations), and any instant with no
-    surviving earlier anchor to re-derive it from
+    must never create dangling page locations; a rescued candidate's own
+    required images are kept too, repeated to a fixpoint), and any
+    instant with no surviving earlier anchor to re-derive it from
     (``skipped_unanchored``).
 
     ``anchors`` — ``{checkpoint_id: {"timestamp_us",
@@ -271,8 +272,15 @@ def thin_checkpoints(storage, history, policy, now_us, anchors=None,
         drops -= unanchored
     survivors = [cid for _ts, cid in stored if cid not in drops]
     required = required_images(storage, survivors)
-    skipped_required = tuple(sorted(drops & required))
-    drops -= required
+    # A rescued candidate is a survivor too: its own required images
+    # must stay, which may rescue further candidates — to a fixpoint.
+    rescued = set()
+    while drops & required:
+        newly = drops & required
+        rescued |= newly
+        drops -= newly
+        required |= required_images(storage, newly)
+    skipped_required = tuple(sorted(rescued))
     thinned = []
     freed = 0
     last_anchor = None

@@ -29,13 +29,14 @@ Serialization is TLV and comes in two on-disk formats:
 
 import hashlib
 import json
+import operator
 import struct
 
 from repro.common.errors import CheckpointError
 from repro.common.serial import (
     FORMAT_VERSION,
     FORMAT_VERSION_MANIFEST,
-    RecordReader,
+    BufferReader,
     RecordWriter,
 )
 
@@ -50,6 +51,11 @@ _PAGE_HEADER = struct.Struct("<IQI")  # vpid, region start, page index
 #: SHA-1 digest length: the content address of one page.
 DIGEST_SIZE = hashlib.sha1().digest_size
 
+#: A whole ``TAG_PAGE_REF`` payload: page header plus digest.
+_PAGE_REF = struct.Struct("<IQI%ds" % DIGEST_SIZE)
+_REF_KEY = operator.itemgetter(0, 1, 2)
+_REF_DIGEST = operator.itemgetter(3)
+
 
 def page_digest(content):
     """The content address of one page payload (raw SHA-1 digest)."""
@@ -61,9 +67,65 @@ def _page_key_str(key):
     return "%d:%d:%d" % (vpid, region_start, page_index)
 
 
-def _page_key_from_str(text):
-    vpid, region_start, page_index = text.split(":")
-    return (int(vpid), int(region_start), int(page_index))
+def _page_keys_from_strs(texts):
+    """Parse ``"vpid:start:index"`` keys in one pass: a single join,
+    split and ``int`` map over all of them instead of a split per key."""
+    if not texts:
+        return []
+    fields = list(map(int, ":".join(texts).split(":")))
+    if len(fields) != 3 * len(texts):
+        raise CheckpointError("malformed page-location key in image")
+    return list(zip(fields[0::3], fields[1::3], fields[2::3]))
+
+
+def _decode(data):
+    """Decode a serialized image's framing; the one image decoder.
+
+    Returns ``(metadata payload, manifest, pages)`` where ``pages`` is
+    ``{key: digest}`` for a v3 manifest stream and ``{key: payload}``
+    for a v2 blob.  The metadata record is CRC-checked but left
+    undecoded — callers that only need the pages never pay for its
+    JSON.  Fixed-size ``TAG_PAGE_REF`` runs parse in bulk; anything else
+    (v2 payloads, or a v3 run that fails the bulk checks) is walked
+    record by record, which also raises the precise error for the first
+    bad record.
+    """
+    reader = BufferReader(data, expect_kind=STREAM_KIND_CHECKPOINT)
+    records = reader.records()
+    first = next(records, None)
+    if first is None:
+        raise CheckpointError("empty checkpoint image")
+    tag, meta, offset = first
+    if tag != TAG_METADATA:
+        raise CheckpointError("checkpoint image must begin with metadata")
+    manifest = reader.version == FORMAT_VERSION_MANIFEST
+    if manifest:
+        rows = reader.fixed_records(reader.end_of(offset, meta),
+                                    TAG_PAGE_REF, _PAGE_REF)
+        if rows is not None:
+            return meta, True, dict(zip(map(_REF_KEY, rows),
+                                        map(_REF_DIGEST, rows)))
+    expected_tag = TAG_PAGE_REF if manifest else TAG_PAGE
+    pages = {}
+    for tag, payload, _off in records:
+        if tag != expected_tag:
+            raise CheckpointError("unexpected record tag %d in image" % tag)
+        key = _PAGE_HEADER.unpack_from(payload)
+        body = bytes(payload[_PAGE_HEADER.size:])
+        if manifest and len(body) != DIGEST_SIZE:
+            raise CheckpointError(
+                "malformed digest reference for page %r" % (key,))
+        pages[key] = body
+    return meta, manifest, pages
+
+
+def page_map(data):
+    """The pages one serialized image holds, without decoding its
+    metadata: ``(manifest, {key: digest})`` for a v3 stream (resolve the
+    digests in the content-addressed store) and ``(False, {key:
+    payload})`` for a v2 blob."""
+    _meta, manifest, pages = _decode(data)
+    return manifest, pages
 
 
 class CheckpointImage:
@@ -110,6 +172,7 @@ class CheckpointImage:
         self.page_locations = {}
         self.page_digests = {}
         self.relinked_files = []  # [(vpid, fd, relink path), ...]
+        self._sealed_metadata = None  # see seal_metadata()
 
     # ------------------------------------------------------------------ #
     # Size accounting
@@ -134,7 +197,18 @@ class CheckpointImage:
     # ------------------------------------------------------------------ #
     # Serialization
 
+    def seal_metadata(self):
+        """Encode the metadata record once: later size queries and
+        :meth:`serialize` reuse these bytes instead of re-encoding the
+        JSON.  Call it only once the metadata is final — the checkpoint
+        engine does at writeback, after which only page payloads (which
+        the record does not cover) are filled in."""
+        self._sealed_metadata = None
+        self._sealed_metadata = self._metadata_json()
+
     def _metadata_json(self):
+        if self._sealed_metadata is not None:
+            return self._sealed_metadata
         meta = {
             "checkpoint_id": self.checkpoint_id,
             "timestamp_us": self.timestamp_us,
@@ -198,15 +272,8 @@ class CheckpointImage:
 
     @classmethod
     def deserialize(cls, data):
-        reader = RecordReader(data, expect_kind=STREAM_KIND_CHECKPOINT)
-        records = iter(reader)
-        try:
-            tag, payload, _off = next(records)
-        except StopIteration:
-            raise CheckpointError("empty checkpoint image")
-        if tag != TAG_METADATA:
-            raise CheckpointError("checkpoint image must begin with metadata")
-        meta = json.loads(payload.decode("utf-8"))
+        meta, manifest, pages = _decode(data)
+        meta = json.loads(str(meta, "utf-8"))
         image = cls(
             checkpoint_id=meta["checkpoint_id"],
             timestamp_us=meta["timestamp_us"],
@@ -217,26 +284,14 @@ class CheckpointImage:
         )
         image.processes = meta["processes"]
         image.regions = {int(vpid): regs for vpid, regs in meta["regions"].items()}
-        image.page_locations = {
-            _page_key_from_str(key): image_id
-            for key, image_id in meta["page_locations"].items()
-        }
+        locations = meta["page_locations"]
+        image.page_locations = dict(zip(_page_keys_from_strs(list(locations)),
+                                        locations.values()))
         image.relinked_files = [tuple(item) for item in meta["relinked_files"]]
-        manifest_stream = reader.version == FORMAT_VERSION_MANIFEST
-        expected_tag = TAG_PAGE_REF if manifest_stream else TAG_PAGE
-        for tag, payload, _off in records:
-            if tag != expected_tag:
-                raise CheckpointError("unexpected record tag %d in image" % tag)
-            vpid, region_start, page_index = _PAGE_HEADER.unpack_from(payload)
-            key = (vpid, region_start, page_index)
-            body = payload[_PAGE_HEADER.size:]
-            if manifest_stream:
-                if len(body) != DIGEST_SIZE:
-                    raise CheckpointError(
-                        "malformed digest reference for page %r" % (key,))
-                image.page_digests[key] = body
-            else:
-                image.pages[key] = body
+        if manifest:
+            image.page_digests = pages
+        else:
+            image.pages = pages
         return image
 
     def __repr__(self):

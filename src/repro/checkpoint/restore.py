@@ -75,7 +75,7 @@ class DemandPager:
     def __init__(self, manager, page_owner, images, cached):
         self._manager = manager
         self._page_owner = page_owner  # key -> owning image id
-        self._images = images  # image id -> loaded image (grows lazily)
+        self._images = images  # image id -> {key: payload} (grows lazily)
         self._cached = cached
         self._m_faults = manager.telemetry.metrics.counter(
             "revive.demand_faults")
@@ -102,20 +102,16 @@ class DemandPager:
             return  # already resident (or never checkpointed)
         costs = self._manager.costs
         clock = self._manager.clock
-        if owner_id not in self._images:
-            # First touch of this image: read its metadata record only.
-            self._images[owner_id] = self._manager.storage.load(
-                owner_id, cached=self._cached, metadata_only=True,
-                clock=clock,
-            )
-        # Resolve the payload: inline for v2 images, via the manifest
-        # digest into the content-addressed page store for v3.
-        owner = self._images[owner_id]
-        content = owner.pages.get(key)
-        if content is None:
-            digest = owner.page_digests.get(key)
-            if digest is not None:
-                content = self._manager.storage.cas_page(digest)
+        pages = self._images.get(owner_id)
+        if pages is None:
+            # First touch of this image: charged as a read of its
+            # metadata record only; the page map resolves v2 payloads
+            # inline and v3 digests through the content-addressed store.
+            pages = self._images[owner_id] = \
+                self._manager.storage.load_pages(
+                    owner_id, cached=self._cached, metadata_only=True,
+                    clock=clock)
+        content = pages.get(key)
         # One page-sized random read from the image file / page store.
         page_len = len(content) if content is not None else 4096
         if self._cached:
@@ -294,7 +290,9 @@ class ReviveManager:
         image = self.storage.load(checkpoint_id, cached=cached,
                                   metadata_only=demand_paging,
                                   clock=self.clock)
-        images = {checkpoint_id: image}
+        # image id -> {key: payload}: the target's pages, then each chain
+        # image's as the restore (or the demand pager) first needs it.
+        images = {checkpoint_id: image.pages}
         if demand_paging:
             # Only the metadata record was read at fork; page bytes are
             # accounted by the pager as faults stream them in.
@@ -465,6 +463,9 @@ class ReviveManager:
         "This process then continues reading from the current checkpoint
         image, reiterating this sequence as necessary, until the complete
         state of the desktop session has been reinstated" (section 5.2).
+        Each chain image is read once, as a bare page map
+        (:meth:`CheckpointStorage.load_pages`): the revive needs only the
+        pages it holds, never its metadata.
         """
         # Group needed pages by the image that holds their latest copy.
         by_owner = {}
@@ -473,26 +474,30 @@ class ReviveManager:
 
         pages_restored = 0
         chain_bytes = 0
+        regions = {}  # (vpid, region start) -> the region's page dict
         for owner_id in sorted(by_owner, reverse=True):
-            if owner_id not in images:
-                images[owner_id] = self.storage.load(owner_id, cached=cached,
-                                                     clock=self.clock)
+            pages = images.get(owner_id)
+            if pages is None:
+                pages = images[owner_id] = self.storage.load_pages(
+                    owner_id, cached=cached, clock=self.clock)
                 chain_bytes += self.storage.size_of(owner_id)[0]
-            owner = images[owner_id]
             for key in by_owner[owner_id]:
-                content = owner.pages.get(key)
+                content = pages.get(key)
                 if content is None:
                     raise ReviveError(
                         "page %r missing from image %d" % (key, owner_id)
                     )
                 vpid, region_start, page_index = key
-                process = by_vpid[vpid]
-                region = process.address_space.find_region(region_start)
-                if region is None:
-                    raise ReviveError(
-                        "page %r references unmapped region" % (key,)
-                    )
-                region.pages[page_index] = content
+                target = regions.get((vpid, region_start))
+                if target is None:
+                    region = by_vpid[vpid].address_space.find_region(
+                        region_start)
+                    if region is None:
+                        raise ReviveError(
+                            "page %r references unmapped region" % (key,)
+                        )
+                    target = regions[vpid, region_start] = region.pages
+                target[page_index] = content
                 pages_restored += 1
         self.clock.advance_us(pages_restored * self.costs.page_restore_us)
         return pages_restored, chain_bytes

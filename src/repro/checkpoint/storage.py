@@ -71,8 +71,17 @@ private CAS (the default) there is a single owner, owner visibility equals
 global visibility, and the accounting is bit-identical to the pre-fleet
 behavior.
 
-Host-side, payloads are kept zlib-compressed regardless of the
-*accounting* mode, so long experiments stay memory-friendly.
+Host-side, CAS payloads are kept raw (uncompressed) whatever the
+*accounting* mode: a read hands back the stored bytes without copying.
+The per-page ``zlib.compress`` in ``_store_manifest`` runs only to size
+a new page for the compressed accounting; its output is discarded.
+Manifest and blob frames are the one thing kept zlib-compressed.
+
+Two reads serve revive: :meth:`CheckpointStorage.load` decodes a whole
+image, and :meth:`CheckpointStorage.load_pages` returns only the pages
+one image holds (the chain read: metadata CRC-checked but not decoded,
+page references parsed in bulk).  Both charge the clock, ``read_count``
+and the cache state identically.
 
 Durability: each stored manifest/blob carries a fixed-size trailer —
 magic, uncompressed length, compressed length, CRC-32 of the compressed
@@ -106,6 +115,7 @@ from repro.checkpoint.image import (
     CheckpointImage,
     FORMAT_VERSION_MANIFEST,
     page_digest,
+    page_map,
 )
 
 #: Blob trailer: magic, uncompressed length, compressed length, CRC-32 of
@@ -1052,8 +1062,9 @@ class CheckpointStorage:
             self._m_dedup_saved.inc(dup_saved)
         cross = len(charge_new) - len(phys_new)
         if cross:
+            appended = set(phys_new)
             cross_saved = sum(accounted(digest) for digest in charge_new
-                              if digest not in phys_new)
+                              if digest not in appended)
             cas.cross_pages_deduped += cross
             cas.cross_dedup_bytes_saved += cross_saved
         return StoreReceipt(
@@ -1167,11 +1178,13 @@ class CheckpointStorage:
 
         ``metadata_only=True`` charges only for the image's metadata record
         (process/region/page-location tables) — the demand-paged revive
-        path, which reads page payloads lazily later.  For a v3 manifest
-        the returned image then carries :attr:`page_digests` but no
-        payloads; the demand pager resolves digests via :meth:`cas_page`.
-        A full load hydrates ``pages`` from the CAS, so callers see the
-        same object either format produced.
+        path, which reads page payloads lazily later.  Either way a v3
+        manifest's ``pages`` are hydrated from the CAS (payloads are kept
+        raw, so hydration copies nothing), and the returned image carries
+        the same :attr:`page_digests` and ``pages`` whichever format it
+        came from; a metadata-only load leaves a page whose digest does
+        not resolve absent for the demand pager to report when the page
+        is first touched.
 
         ``clock`` charges the read to a *foreign* clock — a revived
         branch demand-pages out of its parent's storage but pays on its
@@ -1182,6 +1195,36 @@ class CheckpointStorage:
         resolved — raises :class:`CheckpointError` (after charging for
         the attempted read; the seek still happened).
         """
+        raw = self._read(image_id, cached, metadata_only, clock)
+        image = CheckpointImage.deserialize(raw)
+        if image.page_digests:
+            image.pages = self._resolve_pages(image_id, image.page_digests,
+                                              strict=not metadata_only)
+        return image
+
+    def load_pages(self, image_id, cached=None, metadata_only=False,
+                   clock=None):
+        """The pages one image holds, ``{key: payload}`` — the revive
+        chain read (paper section 5.2: the restore "opens the
+        appropriate file and retrieves the necessary pages").
+
+        Charges the clock, bumps ``read_count`` and updates the cache
+        state exactly as :meth:`load` with the same arguments, so every
+        simulated figure is the same whichever read a caller uses.  What
+        it skips is host work: the metadata record is CRC-checked but
+        never JSON-decoded, and a v3 manifest's fixed-size page-reference
+        records are parsed in bulk and resolved against the CAS (a v2
+        blob returns its inline payloads).  Missing digests are handled
+        as in :meth:`load`.
+        """
+        manifest, pages = page_map(
+            self._read(image_id, cached, metadata_only, clock))
+        if not manifest:
+            return pages
+        return self._resolve_pages(image_id, pages, strict=not metadata_only)
+
+    def _read(self, image_id, cached, metadata_only, clock):
+        """Charge one image read and return its decompressed stream."""
         charge = clock if clock is not None else self.clock
         foreign = charge is not self.clock
         frame = self._blobs.get(image_id)
@@ -1194,7 +1237,6 @@ class CheckpointStorage:
             self.read_count += 1
             raise CheckpointError(
                 "checkpoint %d unreadable (%s)" % (image_id, reason))
-        blob = frame[:-_TRAILER.size]
         uncompressed, compressed = self._sizes[image_id]
         read_bytes = compressed if self.compress else uncompressed
         if metadata_only:
@@ -1210,20 +1252,37 @@ class CheckpointStorage:
             if not metadata_only and not foreign:
                 self._cached.add(image_id)
         self.read_count += 1
-        image = CheckpointImage.deserialize(zlib.decompress(blob))
-        if not metadata_only and image.page_digests and not image.pages:
-            for key, digest in sorted(image.page_digests.items()):
-                content = self.cas.pages.get(digest)
-                if content is None:
-                    raise CheckpointError(
-                        "checkpoint %d unreadable (missing page %r in "
-                        "page store)" % (image_id, key))
-                image.pages[key] = content
-        return image
+        raw = zlib.decompress(memoryview(frame)[:-_TRAILER.size])
+        # The trailer CRC covers the compressed bytes only; its
+        # uncompressed-length field is checked here, once decompressed.
+        if len(raw) != _TRAILER.unpack(frame[-_TRAILER.size:])[1]:
+            raise CheckpointError(
+                "checkpoint %d unreadable (corrupt: uncompressed length "
+                "mismatch)" % image_id)
+        return raw
+
+    def _resolve_pages(self, image_id, digests, strict):
+        """``{key: payload}`` for a ``{key: digest}`` manifest.  ``strict``
+        raises :class:`CheckpointError` naming the first (in key order)
+        page whose digest is not in the CAS; otherwise such pages are
+        left out."""
+        store = self.cas.pages
+        if not strict:
+            return {key: store[digest] for key, digest in digests.items()
+                    if digest in store}
+        try:
+            return dict(zip(digests, map(store.__getitem__,
+                                         digests.values())))
+        except KeyError:
+            missing = min(key for key, digest in digests.items()
+                          if digest not in store)
+            raise CheckpointError(
+                "checkpoint %d unreadable (missing page %r in page store)"
+                % (image_id, missing)) from None
 
     def cas_page(self, digest):
         """Resolve one page payload by digest (None when absent) — the
-        demand pager's per-page read."""
+        chain verifier's per-digest probe."""
         return self.cas.pages.get(digest)
 
     def is_cached(self, image_id):

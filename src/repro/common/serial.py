@@ -23,6 +23,13 @@ Streams are written to any file-like object with ``write``; in this
 reproduction that is usually a :class:`io.BytesIO` held by the simulated
 disk, but the format works equally against real files.
 
+In-memory streams decode without a file object: :class:`BufferReader`
+walks a :class:`memoryview` by offset, yielding zero-copy payload slices
+lazily with the same checks and :class:`StreamCorrupt` messages as
+:class:`RecordReader`, and :meth:`BufferReader.fixed_records` bulk-parses
+a run of same-shaped records (one ``struct.iter_unpack`` pass plus a
+per-record CRC) — the checkpoint image codec's read path.
+
 Crash-recovery helpers: :meth:`RecordWriter.write_torn` deliberately emits a
 partial record (fault injection), :meth:`RecordWriter.truncate_to` discards a
 torn tail, and :func:`scan_valid_prefix` finds the longest valid prefix of a
@@ -30,12 +37,18 @@ possibly-torn stream.
 """
 
 import io
+import operator
 import struct
 import zlib
 
 _HEADER = struct.Struct("<4sHH")
 _RECORD = struct.Struct("<II")
 _CRC = struct.Struct("<I")
+
+# Column pickers for bulk-parsed ``(tag, length, *fields, crc)`` rows.
+_TAG_LENGTH = operator.itemgetter(0, 1)
+_LAST = operator.itemgetter(-1)
+_FIELDS = operator.itemgetter(slice(2, -1))
 
 MAGIC = b"DJVW"
 FORMAT_VERSION = 2
@@ -176,6 +189,22 @@ def _read_record(fileobj, offset):
     return tag, payload
 
 
+def _parse_header(header, expect_kind):
+    """Validate a stream header; returns ``(kind, version)``."""
+    if len(header) != _HEADER.size:
+        raise StreamCorrupt("stream shorter than header")
+    magic, version, kind = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise StreamCorrupt("bad magic %r" % (magic,))
+    if version not in SUPPORTED_VERSIONS:
+        raise StreamCorrupt("unsupported format version %d" % version)
+    if expect_kind is not None and kind != expect_kind:
+        raise StreamCorrupt(
+            "stream kind %d does not match expected %d" % (kind, expect_kind)
+        )
+    return kind, version
+
+
 class RecordReader:
     """Iterates TLV records from bytes or a readable binary stream."""
 
@@ -184,20 +213,8 @@ class RecordReader:
             self.fileobj = io.BytesIO(bytes(data))
         else:
             self.fileobj = data
-        header = self.fileobj.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise StreamCorrupt("stream shorter than header")
-        magic, version, kind = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise StreamCorrupt("bad magic %r" % (magic,))
-        if version not in SUPPORTED_VERSIONS:
-            raise StreamCorrupt("unsupported format version %d" % version)
-        if expect_kind is not None and kind != expect_kind:
-            raise StreamCorrupt(
-                "stream kind %d does not match expected %d" % (kind, expect_kind)
-            )
-        self.kind = kind
-        self.version = version
+        self.kind, self.version = _parse_header(
+            self.fileobj.read(_HEADER.size), expect_kind)
 
     def __iter__(self):
         return self
@@ -216,6 +233,80 @@ class RecordReader:
         writer, so iteration resumes from that record."""
         self.fileobj.seek(offset)
         return self
+
+
+class BufferReader:
+    """Decodes TLV records straight out of an in-memory buffer.
+
+    Nothing is copied: :meth:`records` yields ``(tag, payload, offset)``
+    with ``payload`` a :class:`memoryview` slice of ``data``, verifying
+    each record's bounds and CRC-32 as it goes and raising the same
+    :class:`StreamCorrupt` messages (at the same offsets) as
+    :class:`RecordReader`.  :attr:`kind`, :attr:`version` and the header
+    checks match :class:`RecordReader` too.
+    """
+
+    def __init__(self, data, expect_kind=None):
+        self.view = memoryview(data).cast("B")
+        self.kind, self.version = _parse_header(
+            self.view[:_HEADER.size], expect_kind)
+
+    def records(self, offset=_HEADER.size):
+        """Lazily yield every record from ``offset`` to the end."""
+        view = self.view
+        end = len(view)
+        unpack_head = _RECORD.unpack_from
+        unpack_crc = _CRC.unpack_from
+        crc32 = zlib.crc32
+        while offset < end:
+            if end - offset < _RECORD.size:
+                raise StreamCorrupt(
+                    "truncated record header at offset %d" % offset)
+            tag, length = unpack_head(view, offset)
+            body = offset + _RECORD.size
+            stop = body + length
+            if stop > end:
+                raise StreamCorrupt(
+                    "truncated record payload at offset %d" % offset)
+            if stop + _CRC.size > end:
+                raise StreamCorrupt(
+                    "truncated record checksum at offset %d" % offset)
+            if unpack_crc(view, stop)[0] != crc32(view[offset:stop]):
+                raise StreamCorrupt(
+                    "record checksum mismatch at offset %d" % offset)
+            yield tag, view[body:stop], offset
+            offset = stop + _CRC.size
+
+    @staticmethod
+    def end_of(offset, payload):
+        """Offset just past the record at ``offset`` carrying ``payload``."""
+        return offset + _RECORD.size + len(payload) + _CRC.size
+
+    def fixed_records(self, offset, tag, body):
+        """Bulk-parse the records from ``offset`` to the end when every
+        one is a ``tag`` record whose payload is exactly ``body`` (a
+        :class:`struct.Struct`) and every CRC verifies.
+
+        Returns the list of ``body`` field tuples, or ``None`` when the
+        run is not uniform or fails a check — the caller then walks
+        :meth:`records` to find and report the first bad record.
+        """
+        shape = struct.Struct("<II%sI" % body.format.lstrip("<=!>"))
+        run = self.view[offset:]
+        size = shape.size
+        if len(run) % size:
+            return None
+        rows = list(shape.iter_unpack(run))
+        if not set(map(_TAG_LENGTH, rows)) <= {(tag, body.size)}:
+            return None
+        # Every CRC in one C-level pass: slice each record's signed bytes
+        # (header + payload) out of the run and checksum it.
+        signed = map(run.__getitem__, map(
+            slice, range(0, len(run), size),
+            range(size - _CRC.size, len(run), size)))
+        if list(map(zlib.crc32, signed)) != list(map(_LAST, rows)):
+            return None
+        return list(map(_FIELDS, rows))
 
 
 def read_at(data, offset):

@@ -1,12 +1,15 @@
 """Unit tests for the TLV record codec."""
 
 import io
+import re
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.serial import (
+    BufferReader,
     RecordReader,
     RecordWriter,
     StreamCorrupt,
@@ -155,3 +158,80 @@ class TestResume:
             RecordWriter.resume(buf, expect_kind=10)
         with pytest.raises(StreamCorrupt):
             RecordWriter.resume(io.BytesIO(b"not a stream at all"))
+
+
+def _walk(reader_records):
+    """Drain a record iterator: ``(records, error message or None)``."""
+    out = []
+    try:
+        for tag, payload, offset in reader_records:
+            out.append((tag, bytes(payload), offset))
+    except StreamCorrupt as exc:
+        return out, str(exc)
+    return out, None
+
+
+@given(
+    records=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2**32 - 1),
+                  st.binary(max_size=64)),
+        max_size=12,
+    ),
+    data=st.data(),
+)
+def test_property_buffer_reader_matches_record_reader(records, data):
+    """The in-memory reader yields the same records and raises the same
+    errors, at the same offsets, as the stream reader — on intact,
+    truncated and byte-flipped streams alike."""
+    writer = RecordWriter(kind=9)
+    for tag, payload in records:
+        writer.write(tag, payload)
+    stream = writer.getvalue()
+    damage = data.draw(st.sampled_from(["none", "truncate", "flip"]))
+    if damage == "truncate":
+        stream = stream[:data.draw(st.integers(0, len(stream)))]
+    elif damage == "flip":
+        at = data.draw(st.integers(0, len(stream) - 1))
+        stream = stream[:at] + bytes([stream[at] ^ 0x5A]) + stream[at + 1:]
+    try:
+        expected = _walk(RecordReader(stream))
+    except StreamCorrupt as exc:  # header damage
+        with pytest.raises(StreamCorrupt, match=re.escape(str(exc))):
+            BufferReader(stream)
+        return
+    assert _walk(BufferReader(stream).records()) == expected
+
+
+class TestBufferReaderFixedRecords:
+    SHAPE = struct.Struct("<IQ")
+
+    def _stream(self, rows, tag=4):
+        writer = RecordWriter()
+        writer.write(1, b"head")
+        start = writer.bytes_written
+        for row in rows:
+            writer.write(tag, self.SHAPE.pack(*row))
+        return writer.getvalue(), start
+
+    def test_bulk_parse_matches_payloads(self):
+        rows = [(i, i * 4096) for i in range(50)]
+        data, start = self._stream(rows)
+        assert BufferReader(data).fixed_records(start, 4, self.SHAPE) == rows
+
+    def test_empty_run(self):
+        data, start = self._stream([])
+        assert BufferReader(data).fixed_records(start, 4, self.SHAPE) == []
+
+    def test_non_uniform_runs_are_refused(self):
+        rows = [(1, 2), (3, 4)]
+        data, start = self._stream(rows, tag=5)
+        assert BufferReader(data).fixed_records(start, 4, self.SHAPE) is None
+        data, start = self._stream(rows)
+        reader = BufferReader(data[:-1])
+        assert reader.fixed_records(start, 4, self.SHAPE) is None
+        flipped = data[:start + 9] + bytes([data[start + 9] ^ 1]) + \
+            data[start + 10:]
+        reader = BufferReader(flipped)
+        assert reader.fixed_records(start, 4, self.SHAPE) is None
+        with pytest.raises(StreamCorrupt, match="checksum mismatch"):
+            list(reader.records(start))

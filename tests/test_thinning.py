@@ -288,6 +288,30 @@ class TestNeverThinned:
             assert not storage.is_thinned(image_id)
         assert verify_chain(storage, session.fsstore).ok
 
+    def test_rescued_candidates_keep_their_own_chains(self):
+        """Regression: a candidate rescued because a survivor pages from
+        it is itself a survivor, so the images *it* pages from must stay
+        too (to a fixpoint).  On the 80-unit desktop the default policy
+        once kept checkpoint 3 while thinning checkpoint 2, which 3
+        pages from; every kept checkpoint must revive as itself."""
+        from repro.replay.replayer import record_scenario
+
+        dejaview = record_scenario("desktop", units=80).dejaview
+        report = dejaview.thin_checkpoints()
+        assert 3 in report.skipped_required
+        storage = dejaview.storage
+        kept = [r for r in dejaview.engine.history
+                if not storage.is_thinned(r.checkpoint_id)]
+        for entry in kept:
+            image = storage.load(entry.checkpoint_id, cached=True)
+            assert not any(storage.is_thinned(owner)
+                           for owner in image.page_locations.values())
+            revived = dejaview.take_me_back(entry.timestamp_us)
+            assert revived.checkpoint_id == entry.checkpoint_id
+            assert not revived.replayed
+            dejaview.reviver.kernel.destroy_container(revived.container)
+        assert verify_chain(storage, dejaview.session.fsstore).ok
+
     def test_unanchored_instants_survive(self):
         """With an anchor index that names nobody, nothing can be
         replay-verified — so nothing may be thinned."""
