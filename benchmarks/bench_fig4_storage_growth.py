@@ -15,31 +15,9 @@ Paper shape being reproduced:
   (~2.5 MB/s).
 """
 
-import json
-import os
-
-from benchmarks.conftest import ALL_SCENARIOS, print_table
+from benchmarks.conftest import ALL_SCENARIOS, print_table, update_artifact
 
 MB = 1e6
-
-ARTIFACT_SCHEMA = "dejaview.bench_fig4/v1"
-ARTIFACT_NAME = "BENCH_fig4.json"
-
-
-def _update_artifact(rootpath, section, payload):
-    """Merge one section into ``BENCH_fig4.json`` (tests may run alone)."""
-    path = os.path.join(str(rootpath), ARTIFACT_NAME)
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data["schema"] = ARTIFACT_SCHEMA
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
 
 
 def test_fig4_dedup_savings(request):
@@ -97,7 +75,7 @@ def test_fig4_dedup_savings(request):
     assert cas["dedup_bytes_saved"] > 0
     assert savings >= 0.30, "dedup saved only %.1f%%" % (savings * 100)
 
-    _update_artifact(request.config.rootpath, "dedup", {
+    update_artifact(request, "fig4", "dedup", {
         "workload": "desktop",
         "units": 150,
         "baseline_checkpoint_bytes": baseline["checkpoint_bytes"],

@@ -15,12 +15,10 @@ Paper shape being reproduced: search <= ~10 ms for app benchmarks and
 ~200 ms for the desktop — all interactive.
 """
 
-import json
-import os
 
 import numpy as np
 
-from benchmarks.conftest import ALL_SCENARIOS, print_table
+from benchmarks.conftest import ALL_SCENARIOS, print_table, update_artifact
 from repro.common.clock import VirtualClock
 from repro.common.telemetry import Telemetry, percentile
 from repro.common.units import ms, seconds
@@ -29,25 +27,6 @@ from repro.display.protocol import CommandLogReader
 from repro.index.database import TemporalTextDatabase
 from repro.index.query import Clause, Query
 from repro.index.search import SearchEngine
-
-ARTIFACT_SCHEMA = "dejaview.bench_fig5/v1"
-ARTIFACT_NAME = "BENCH_fig5.json"
-
-
-def _update_artifact(rootpath, section, payload):
-    """Merge one section into ``BENCH_fig5.json`` (tests may run alone)."""
-    path = os.path.join(str(rootpath), ARTIFACT_NAME)
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data["schema"] = ARTIFACT_SCHEMA
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
 
 SEARCH_SCENARIOS = [n for n in ALL_SCENARIOS if n not in ("gzip", "octave")]
 """gzip and octave put almost no text on screen; like the paper's Figure 5
@@ -142,7 +121,7 @@ def test_fig5_browse_and_search(benchmark, scenarios, request):
         return table
 
     table = benchmark.pedantic(build, rounds=1, iterations=1)
-    _update_artifact(request.config.rootpath, "search_latency_us", {
+    update_artifact(request, "fig5", "search_latency_us", {
         name: {
             "queries": len(entry["latencies"]),
             "mean": entry["search"],
@@ -273,7 +252,7 @@ def test_fig5_windowed_query_pruning(request):
     assert scanned.value == before_scanned
     assert _result_fingerprint(warm) == _result_fingerprint(cold)
 
-    _update_artifact(request.config.rootpath, "windowed_pruning", {
+    update_artifact(request, "fig5", "windowed_pruning", {
         "recording_us": end_us,
         "window_start_us": window_start,
         "window_end_us": end_us,

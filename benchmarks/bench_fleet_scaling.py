@@ -25,15 +25,10 @@ Writes ``BENCH_fleet.json`` in the pytest root for CI artifact upload.
 """
 
 import gc
-import json
-import os
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, update_artifact
 
 MB = 1e6
-
-ARTIFACT_SCHEMA = "dejaview.bench_fleet/v1"
-ARTIFACT_NAME = "BENCH_fleet.json"
 
 FLEET_SIZES = [16, 64, 256]
 SEED = 1
@@ -48,22 +43,6 @@ SHARD_COUNTS = [1, 4, 8]
 
 #: Acceptance gate: cross-session dedup ratio.
 DEDUP_GATE = 0.20
-
-
-def _update_artifact(rootpath, section, payload):
-    """Merge one section into ``BENCH_fleet.json`` (tests may run alone)."""
-    path = os.path.join(str(rootpath), ARTIFACT_NAME)
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data["schema"] = ARTIFACT_SCHEMA
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
 
 
 def _downtime_p95(member):
@@ -204,7 +183,7 @@ def test_fleet_scaling(request):
         assert r["writeback_backlog_end_bytes"] == 0
         assert r["flush_batches"] > 0
 
-    _update_artifact(request.config.rootpath, "scaling", results)
+    update_artifact(request, "fleet", "scaling", results)
 
 
 def test_shard_count_sweep(request):
@@ -241,4 +220,4 @@ def test_shard_count_sweep(request):
     for r in results:
         assert r["writeback_backlog_end_bytes"] == 0
 
-    _update_artifact(request.config.rootpath, "shard_sweep", results)
+    update_artifact(request, "fleet", "shard_sweep", results)

@@ -9,10 +9,9 @@ bound so noisy CI machines don't flap, while the measured figure lands
 in ``BENCH_flightrec.json`` for offline inspection.
 """
 
-import json
-import os
 import time
 
+from benchmarks.conftest import update_artifact
 from repro.common.clock import VirtualClock
 from repro.common.flightrec import (
     NULL_FLIGHTREC,
@@ -23,9 +22,6 @@ from repro.common.flightrec import (
 from repro.desktop.dejaview import RecordingConfig
 from repro.workloads import run_scenario
 
-ARTIFACT_SCHEMA = "dejaview.bench_flightrec/v1"
-ARTIFACT_NAME = "BENCH_flightrec.json"
-
 OPS = 10_000
 
 #: Acceptance gate for the journal-enabled wall-clock overhead; the
@@ -35,22 +31,6 @@ CI_BOUND = 0.25
 
 BENCH_SCENARIO = "gzip"
 BENCH_UNITS = 6
-
-
-def _update_artifact(rootpath, section, payload):
-    """Merge one section into ``BENCH_flightrec.json``."""
-    path = os.path.join(str(rootpath), ARTIFACT_NAME)
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data["schema"] = ARTIFACT_SCHEMA
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
 
 
 def test_bench_noop_scope_record(benchmark):
@@ -135,7 +115,7 @@ def test_journal_overhead_within_bound(request):
     journal_bytes = sum(len(blob)
                         for blob in recorders[-1].segment_data())
 
-    _update_artifact(request.config.rootpath, "overhead", {
+    update_artifact(request, "flightrec", "overhead", {
         "scenario": BENCH_SCENARIO,
         "units": BENCH_UNITS,
         "disabled_wall_ns": off_ns,
@@ -163,7 +143,7 @@ def test_noop_run_matches_default_run(request):
     assert default.duration_us == explicit.duration_us
     assert default.dejaview.storage_report() \
         == explicit.dejaview.storage_report()
-    _update_artifact(request.config.rootpath, "noop", {
+    update_artifact(request, "flightrec", "noop", {
         "bit_identical": True,
         "duration_us": default.duration_us,
     })

@@ -24,15 +24,10 @@ Writes ``BENCH_revive.json`` in the pytest root for CI artifact upload.
 """
 
 import gc
-import json
-import os
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, rank_percentile, update_artifact
 
 MB = 1e6
-
-ARTIFACT_SCHEMA = "dejaview.bench_revive/v1"
-ARTIFACT_NAME = "BENCH_revive.json"
 
 STORM_SIZES = [16, 64]
 SEED = 1
@@ -42,30 +37,6 @@ BRANCH_UNITS = 2
 #: Acceptance gates (ISSUE: revive storms).
 FORK_P95_RATIO_GATE = 3.0
 SHARED_FRACTION_GATE = 0.60
-
-
-def _update_artifact(rootpath, section, payload):
-    """Merge one section into ``BENCH_revive.json``."""
-    path = os.path.join(str(rootpath), ARTIFACT_NAME)
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data["schema"] = ARTIFACT_SCHEMA
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _measure(branches):
@@ -101,8 +72,8 @@ def _measure(branches):
         "branches": branches,
         "seed": SEED,
         "source_checkpoint": report["source_checkpoint"],
-        "fork_p50_us": _percentile(forks, 0.50),
-        "fork_p95_us": _percentile(forks, 0.95),
+        "fork_p50_us": rank_percentile(forks, 0.50),
+        "fork_p95_us": rank_percentile(forks, 0.95),
         "fork_max_us": max(forks),
         "shared_bytes_at_fork": shared,
         "private_bytes_at_fork": private,
@@ -149,7 +120,7 @@ def test_revive_storm_scaling(request):
         % (small["fork_p95_us"], small["branches"],
            large["fork_p95_us"], large["branches"], FORK_P95_RATIO_GATE))
 
-    _update_artifact(request.config.rootpath, "storm_scaling", {
+    update_artifact(request, "revive", "storm_scaling", {
         "rows": rows,
         "gates": {
             "fork_p95_ratio_max": FORK_P95_RATIO_GATE,
@@ -190,7 +161,7 @@ def test_revive_storm_crash_resilience(request):
     second = fleet.recover_session(crashed)
     assert second.get("cas_orphans_reclaimed", 0) == 0 \
         or second.get("ok")
-    _update_artifact(request.config.rootpath, "crash_resilience", {
+    update_artifact(request, "revive", "crash_resilience", {
         "branches": branches,
         "crashed": report["crashed"],
         "survivors_done": len(survivors),

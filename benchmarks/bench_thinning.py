@@ -21,15 +21,10 @@ upload.
 """
 
 import gc
-import json
-import os
 
-from benchmarks.conftest import print_table
+from benchmarks.conftest import print_table, rank_percentile, update_artifact
 
 MB = 1e6
-
-ARTIFACT_SCHEMA = "dejaview.bench_thinning/v1"
-ARTIFACT_NAME = "BENCH_thinning.json"
 
 #: Simulated seconds of hot-churn recording for the reduction sweep.
 REDUCTION_UNITS = 240
@@ -42,30 +37,6 @@ REVIVE_SAMPLES = 10
 DEFAULT_REDUCTION_GATE = 0.40
 #: p95 replay distance <= surviving-anchor spacing.
 REVIVE_P95_SPACING_GATE = 1.0
-
-
-def _update_artifact(rootpath, section, payload):
-    """Merge one section into ``BENCH_thinning.json``."""
-    path = os.path.join(str(rootpath), ARTIFACT_NAME)
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            data = {}
-    data["schema"] = ARTIFACT_SCHEMA
-    data[section] = payload
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _record_churn(units):
@@ -178,7 +149,7 @@ def test_storage_reduction_vs_policy(request):
     assert by_label["keep-1-in-8"]["reduction"] >= \
         by_label["keep-1-in-2"]["reduction"]
 
-    _update_artifact(request.config.rootpath, "storage_reduction", {
+    update_artifact(request, "thinning", "storage_reduction", {
         "units": REDUCTION_UNITS,
         "rows": rows,
         "gates": {"default_reduction_min": DEFAULT_REDUCTION_GATE},
@@ -234,7 +205,7 @@ def test_revive_latency_vs_replay_distance(request):
     distances = [s["replay_us"] for s in samples]
     durations = [s["duration_us"] for s in samples]
     spacing_us = REVIVE_KEEP_EVERY * seconds(1)
-    p95_distance = _percentile(distances, 0.95)
+    p95_distance = rank_percentile(distances, 0.95)
     assert p95_distance <= REVIVE_P95_SPACING_GATE * spacing_us, (
         "thinned-revive p95 replay distance %dus exceeds the anchor "
         "spacing %dus" % (p95_distance, spacing_us))
@@ -244,14 +215,14 @@ def test_revive_latency_vs_replay_distance(request):
         bucket = by_distance.setdefault(
             int(sample["replay_us"] // seconds(1)), [])
         bucket.append(sample["duration_us"])
-    _update_artifact(request.config.rootpath, "revive_latency", {
+    update_artifact(request, "thinning", "revive_latency", {
         "units": REVIVE_UNITS,
         "keep_every": REVIVE_KEEP_EVERY,
         "samples": samples,
-        "replay_p50_us": _percentile(distances, 0.50),
+        "replay_p50_us": rank_percentile(distances, 0.50),
         "replay_p95_us": p95_distance,
-        "duration_p50_us": _percentile(durations, 0.50),
-        "duration_p95_us": _percentile(durations, 0.95),
+        "duration_p50_us": rank_percentile(durations, 0.50),
+        "duration_p95_us": rank_percentile(durations, 0.95),
         "gates": {"replay_p95_max_us":
                   REVIVE_P95_SPACING_GATE * spacing_us},
     })
@@ -260,7 +231,7 @@ def test_revive_latency_vs_replay_distance(request):
         % REVIVE_KEEP_EVERY,
         ["distance s", "revives", "duration p50 us", "duration p95 us"],
         [[bucket, len(values),
-          _percentile(values, 0.50), _percentile(values, 0.95)]
+          rank_percentile(values, 0.50), rank_percentile(values, 0.95)]
          for bucket, values in sorted(by_distance.items())],
         note="gate: p95 replay distance <= %d us (anchor spacing)"
              % (REVIVE_P95_SPACING_GATE * spacing_us))

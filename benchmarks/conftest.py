@@ -139,6 +139,34 @@ class _uncaptured:
         return False
 
 
+def update_artifact(request, name, section, payload):
+    """Merge one section into ``BENCH_<name>.json`` in the pytest root
+    (schema ``dejaview.bench_<name>/v1``), so each bench test may also
+    run alone."""
+    path = os.path.join(str(request.config.rootpath), "BENCH_%s.json" % name)
+    data = {}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError):
+            data = {}
+    data["schema"] = "dejaview.bench_%s/v1" % name
+    data[section] = payload
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, default=str)
+
+
+def rank_percentile(values, q):
+    """The value at rank ``round(q * (n - 1))`` of sorted ``values`` (0
+    when empty) — the rule of the revive-storm and thinning artifacts."""
+    ordered = sorted(values)
+    if not ordered:
+        return 0
+    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
+    return ordered[index]
+
+
 def print_table(title, headers, rows, note=None):
     """Render one figure's data as an aligned text table (uncaptured)."""
     widths = [

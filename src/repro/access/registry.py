@@ -45,12 +45,6 @@ class DesktopRegistry:
     def app(self, name):
         return self._apps[name]
 
-    def focused_app(self):
-        for app in self._apps.values():
-            if app.focused:
-                return app
-        return None
-
     def subscribe(self, handler):
         """Register an AT client for accessibility events."""
         return self.bus.subscribe(TOPIC, handler)

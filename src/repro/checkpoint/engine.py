@@ -455,8 +455,7 @@ class CheckpointEngine:
         # Pipelined writeback: under async group commit the store only
         # enqueued the pages — record how deep the queue is so backlog
         # growth is visible per checkpoint (always 0 in sync mode).
-        result.writeback_backlog_bytes = getattr(
-            self.storage, "writeback_backlog_bytes", 0)
+        result.writeback_backlog_bytes = self.storage.writeback_backlog_bytes
         self._m_backlog.observe(result.writeback_backlog_bytes)
         _unc, comp = self.storage.size_of(image.checkpoint_id)
         result.image_bytes_compressed = comp
@@ -505,8 +504,7 @@ class CheckpointEngine:
         # THINNED instants keep their place on the timeline: the
         # tombstone makes them revivable by replay, so history retains
         # them even though their bytes are gone.
-        thinner = getattr(self.storage, "thinned_ids", None)
-        keep = stored | (set(thinner()) if thinner is not None else set())
+        keep = stored | set(self.storage.thinned_ids())
         removed = [r for r in self.history
                    if r.checkpoint_id not in keep]
         self.history = [r for r in self.history

@@ -91,10 +91,7 @@ def prune_checkpoints(storage, fsstore, keep_ids, compact=True):
     # group commits (deleting a queued page cancels its append, but
     # compaction reclaims extents — every queued byte must be on disk or
     # cancelled before space accounting is trusted).
-    drained = {}
-    drainer = getattr(storage, "drain_writeback", None)
-    if drainer is not None:
-        drained = drainer()
+    drained = storage.drain_writeback()
     deleted = []
     freed = 0
     fs = fsstore.fs
@@ -110,13 +107,8 @@ def prune_checkpoints(storage, fsstore, keep_ids, compact=True):
     reclaimed = fs.collect_garbage(fs.protected_txns())
     # Pruning may have deleted a tombstone's replay anchor out from
     # under it; such tombstones can no longer revive and are dropped.
-    reconcile = getattr(storage, "reconcile_tombstones", None)
-    if reconcile is not None:
-        reconcile()
-    compaction = {}
-    compactor = getattr(storage, "compact", None)
-    if compact and compactor is not None:
-        compaction = compactor()
+    storage.reconcile_tombstones()
+    compaction = storage.compact() if compact else {}
     return PruneReport(
         kept_images=tuple(sorted(required)),
         deleted_images=tuple(sorted(deleted)),
@@ -168,19 +160,11 @@ class ThinningPolicy:
         """The checkpoint ids this policy wants thinned.
 
         ``history`` is an iterable of records with ``checkpoint_id`` and
-        ``timestamp_us`` attributes (or ``(checkpoint_id,
-        timestamp_us)`` pairs) covering the whole timeline; ``now_us``
-        is the clock ages are measured against.
+        ``timestamp_us`` attributes covering the whole timeline;
+        ``now_us`` is the clock ages are measured against.
         """
-        entries = []
-        for record in history:
-            checkpoint_id = getattr(record, "checkpoint_id", None)
-            if checkpoint_id is None:
-                checkpoint_id, timestamp_us = record
-            else:
-                timestamp_us = record.timestamp_us
-            entries.append((timestamp_us, checkpoint_id))
-        entries.sort()
+        entries = sorted((record.timestamp_us, record.checkpoint_id)
+                         for record in history)
         protect = set(protect)
         if entries:
             protect.add(entries[-1][1])  # the newest instant survives
@@ -252,18 +236,11 @@ def thin_checkpoints(storage, history, policy, now_us, anchors=None,
     storage's own clock (solo sessions); a fleet compacts the shared
     CAS separately on the service clock.  Returns a :class:`ThinReport`.
     """
-    entries = []
-    for record in history:
-        checkpoint_id = getattr(record, "checkpoint_id", None)
-        if checkpoint_id is None:
-            checkpoint_id, timestamp_us = record
-        else:
-            timestamp_us = record.timestamp_us
-        entries.append((timestamp_us, checkpoint_id))
-    entries.sort()
-    stored = [(ts, cid) for ts, cid in entries if cid in storage]
-    drops = policy.plan([(cid, ts) for ts, cid in entries], now_us,
-                        protect=protect)
+    history = list(history)
+    stored = sorted((record.timestamp_us, record.checkpoint_id)
+                    for record in history
+                    if record.checkpoint_id in storage)
+    drops = policy.plan(history, now_us, protect=protect)
     drops &= {cid for _ts, cid in stored}
     skipped_unanchored = []
     if anchors is not None:
@@ -306,7 +283,7 @@ def thin_checkpoints(storage, history, policy, now_us, anchors=None,
                           if cid not in set(thinned)),
         thinned_images=tuple(thinned),
         image_bytes_freed=freed,
-        tombstones=len(getattr(storage, "thinned_ids", lambda: ())()),
+        tombstones=len(storage.thinned_ids()),
         skipped_required=skipped_required,
         skipped_unanchored=tuple(sorted(set(skipped_unanchored))),
         cas_orphans_reclaimed=compaction.get("orphans_reclaimed", 0),

@@ -354,11 +354,6 @@ class ShardedPageCAS:
         self.total_uncompressed_bytes -= raw_len
         self.total_compressed_bytes -= comp_len
 
-    def accounted_len(self, digest, fallback_mode):
-        raw_len, comp_len = self.sizes[digest]
-        mode = self.mode.get(digest, fallback_mode)
-        return comp_len if mode else raw_len
-
     # ------------------------------------------------------------------ #
     # Recovery support
 
@@ -718,11 +713,6 @@ class ShardedPageCAS:
         }
 
 
-#: Backwards-compatible name: the unsharded store is the K=1 special
-#: case of the sharded one (identical extent ids and append order).
-PageCAS = ShardedPageCAS
-
-
 class StoreReceipt:
     """What one ``store`` call actually wrote (as accounted)."""
 
@@ -741,8 +731,8 @@ class StoreReceipt:
 class CheckpointStorage:
     """Stores serialized checkpoint images on a simulated disk.
 
-    ``cas`` (optional) injects a shared :class:`PageCAS`; ``owner`` names
-    this storage's reference-count bucket inside it.  The default is a
+    ``cas`` (optional) injects a shared :class:`ShardedPageCAS`; ``owner``
+    names this storage's reference-count bucket inside it.  The default is a
     private CAS with a single owner — the classic one-session layout.
     """
 
@@ -824,36 +814,6 @@ class CheckpointStorage:
     @property
     def compaction_bytes_reclaimed(self):
         return self.cas.compaction_bytes_reclaimed
-
-    # -- shared-CAS internals, aliased for tests and tooling ------------ #
-
-    @property
-    def _cas(self):
-        return self.cas.pages
-
-    @property
-    def _cas_sizes(self):
-        return self.cas.sizes
-
-    @property
-    def _cas_refs(self):
-        return self.cas.refs
-
-    @property
-    def _cas_mode(self):
-        return self.cas.mode
-
-    @property
-    def _cas_extent(self):
-        return self.cas.extent_of
-
-    @property
-    def _extents(self):
-        return self.cas.extents
-
-    @property
-    def _own_refs(self):
-        return self.cas.owner_refs_for(self.owner)
 
     # ------------------------------------------------------------------ #
     # Write path
@@ -961,7 +921,7 @@ class CheckpointStorage:
         # per page key; a digest this owner already references (or one
         # repeated within this image) is a charging dedup hit.
         ordered = tuple(manifest[key] for key in sorted(manifest))
-        own_refs = self._own_refs
+        own_refs = self.cas.owner_refs_for(self.owner)
         sizes = {}
         for digest in set(ordered):
             if digest in cas.sizes:
@@ -1121,15 +1081,6 @@ class CheckpointStorage:
     def writeback_backlog_bytes(self):
         """Bytes enqueued in the CAS but not yet group-committed."""
         return self.cas.backlog_bytes()
-
-    @property
-    def writeback_async(self):
-        return self.cas.async_writeback
-
-    def unflushed_digests(self):
-        """Digests committed logically but still queued (no extent yet);
-        the chain verifier's durability-invariant probe."""
-        return self.cas.unflushed_digests()
 
     # ------------------------------------------------------------------ #
     # Frame integrity
@@ -1631,9 +1582,9 @@ class CheckpointStorage:
 
     def compact(self, dead_fraction=DEFAULT_DEAD_FRACTION, charge_time=True):
         """Reclaim orphaned CAS pages and rewrite fragmented extents
-        (see :meth:`PageCAS.compact`); time is charged to this storage's
-        clock.  With a shared CAS prefer the fleet-level entry point,
-        which charges the service clock instead of one member's."""
+        (see :meth:`ShardedPageCAS.compact`); time is charged to this
+        storage's clock.  With a shared CAS prefer the fleet-level entry
+        point, which charges the service clock instead of one member's."""
         before = self.cas.orphans_reclaimed
         report = self.cas.compact(
             dead_fraction=dead_fraction,

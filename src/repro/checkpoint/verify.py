@@ -166,23 +166,20 @@ def verify_chain(storage, fsstore=None):
                 ))
 
         # Content-addressed manifests must resolve into the page store.
-        manifest_of = getattr(storage, "manifest_digests", None)
-        cas_page = getattr(storage, "cas_page", None)
-        if manifest_of is not None and cas_page is not None:
-            for digest in manifest_of(image_id):
-                payload = cas_page(digest)
-                if payload is None:
-                    issues.append(Issue(
-                        "dangling-digest", image_id,
-                        "manifest references digest %s absent from the "
-                        "page store" % digest.hex()[:12],
-                    ))
-                elif page_digest(payload) != digest:
-                    issues.append(Issue(
-                        "page-digest-mismatch", image_id,
-                        "page store payload for %s fails its content "
-                        "hash" % digest.hex()[:12],
-                    ))
+        for digest in storage.manifest_digests(image_id):
+            payload = storage.cas_page(digest)
+            if payload is None:
+                issues.append(Issue(
+                    "dangling-digest", image_id,
+                    "manifest references digest %s absent from the page "
+                    "store" % digest.hex()[:12],
+                ))
+            elif page_digest(payload) != digest:
+                issues.append(Issue(
+                    "page-digest-mismatch", image_id,
+                    "page store payload for %s fails its content hash"
+                    % digest.hex()[:12],
+                ))
 
         # File system binding (section 5.1.1).
         if fsstore is not None:
@@ -211,10 +208,8 @@ def verify_chain(storage, fsstore=None):
     # be empty whenever verification runs.  Async (fleet) storage keeps
     # a live backlog by design — queued pages are readable and owned, so
     # a non-empty queue is not an integrity issue there.
-    unflushed = getattr(storage, "unflushed_digests", None)
-    if unflushed is not None and not getattr(storage, "writeback_async",
-                                             False):
-        stale = unflushed()
+    if not storage.cas.async_writeback:
+        stale = storage.cas.unflushed_digests()
         if stale:
             issues.append(Issue(
                 "unflushed-pages", -1,

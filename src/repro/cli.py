@@ -471,12 +471,10 @@ def cmd_stats(args, out):
     name, run = _run_scenario(args)
     _sample_search(run.dejaview)  # exercise the query path for its metrics
     snapshot = run.dejaview.telemetry_snapshot(span_limit=args.spans)
-    cas = getattr(run.dejaview.storage, "cas", None)
-    cas_stats = cas.stats() if cas is not None else None
+    cas_stats = run.dejaview.storage.cas.stats()
     if args.json:
         snapshot["scenario"] = name
-        if cas_stats is not None:
-            snapshot["page_store"] = cas_stats
+        snapshot["page_store"] = cas_stats
         json.dump(snapshot, out, indent=2, default=str)
         print(file=out)
         return 0
@@ -494,10 +492,8 @@ def cmd_stats(args, out):
         print("  %-36s %d / %.0f / %.0f / %.0f" % (
             key, summary["count"], summary["p50"], summary["p95"],
             summary["max"]), file=out)
-    if cas_stats is not None:
-        print("page store (%d shard(s)):" % cas_stats["shard_count"],
-              file=out)
-        _print_shard_table(cas_stats, out)
+    print("page store (%d shard(s)):" % cas_stats["shard_count"], file=out)
+    _print_shard_table(cas_stats, out)
     if "faults" in snapshot:
         print("failpoints (hits / fired):", file=out)
         _print_fault_table(snapshot["faults"], out)
@@ -759,7 +755,16 @@ def cmd_thin(args, out):
         policy_kwargs["tiers"] = _parse_tiers(args.tiers)
     policy = ThinningPolicy(**policy_kwargs)
     checkpoints = dv.checkpoint_count
-    bytes_before = dv.storage.total_compressed_bytes
+    storage = dv.storage
+
+    def accounted_bytes():
+        # The storage's accounted format: what ``thin`` reports freeing.
+        return (storage.total_compressed_bytes if storage.compress
+                else storage.total_uncompressed_bytes)
+
+    bytes_before = storage.total_compressed_bytes
+    accounted_before = accounted_bytes()
+    thinned_before = set(storage.thinned_ids())
     crash = None
     recovery = None
     try:
@@ -771,7 +776,11 @@ def cmd_thin(args, out):
         # Idempotent completion: the re-run selects the same survivors
         # and picks up whatever the crash interrupted.
         report = dv.thin_checkpoints(policy=policy, compact=True)
-    bytes_after = dv.storage.total_compressed_bytes
+    # Report what this command did across both passes: a crashed pass
+    # may already have tombstoned instants the re-run then skips.
+    bytes_after = storage.total_compressed_bytes
+    bytes_freed = accounted_before - accounted_bytes()
+    thinned = sorted(set(storage.thinned_ids()) - thinned_before)
     verified = []
     failures = []
     if args.verify:
@@ -799,13 +808,13 @@ def cmd_thin(args, out):
     summary = {
         "scenario": name,
         "checkpoints": checkpoints,
-        "thinned": list(report.thinned_images),
+        "thinned": thinned,
         "tombstones": report.tombstones,
         "skipped_required": list(report.skipped_required),
         "skipped_unanchored": list(report.skipped_unanchored),
         "bytes_before": bytes_before,
         "bytes_after": bytes_after,
-        "bytes_freed": report.image_bytes_freed,
+        "bytes_freed": bytes_freed,
         "crash": str(crash) if crash is not None else None,
         "recovery_ok": recovery["ok"] if recovery is not None else None,
         "verified": verified,
@@ -828,12 +837,11 @@ def cmd_thin(args, out):
             crash, "ok" if recovery["ok"] else "FAILED"), file=out)
     reduction = (1.0 - bytes_after / bytes_before) if bytes_before else 0.0
     print("tombstoned %d instant(s): %s" % (
-        len(report.thinned_images),
-        list(report.thinned_images) or "none"), file=out)
+        len(thinned), thinned or "none"), file=out)
     print("storage: %s -> %s (%.1f%% reduction, %s of image bytes "
           "freed)" % (format_bytes(bytes_before),
                       format_bytes(bytes_after), 100.0 * reduction,
-                      format_bytes(report.image_bytes_freed)), file=out)
+                      format_bytes(bytes_freed)), file=out)
     if report.skipped_required or report.skipped_unanchored:
         print("pinned: %s required by survivors, %s without a surviving "
               "anchor" % (list(report.skipped_required) or "none",

@@ -23,11 +23,7 @@ class ProcessError(VexError):
 
 
 class VirtualMemoryError(VexError):
-    """A virtual-memory operation failed (bad address, protection mismatch).
-
-    Historically exported as ``MemoryError_`` (trailing underscore to
-    avoid shadowing the builtin); that alias is deprecated.
-    """
+    """A virtual-memory operation failed (bad address, protection mismatch)."""
 
 
 class NamespaceError(VexError):
@@ -64,14 +60,3 @@ class QueryError(IndexError_):
 class PolicyError(DejaViewError):
     """A checkpoint-policy rule was misconfigured."""
 
-
-def __getattr__(name):
-    if name == "MemoryError_":
-        import warnings
-
-        warnings.warn(
-            "MemoryError_ is deprecated; use VirtualMemoryError",
-            DeprecationWarning, stacklevel=2,
-        )
-        return VirtualMemoryError
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -106,10 +106,10 @@ class DejaView:
 
     def __init__(self, session, config=None, telemetry=None, page_cas=None):
         """``page_cas`` injects a shared
-        :class:`~repro.checkpoint.storage.PageCAS` so several recorders
-        dedup checkpoint pages against each other (fleet mode); the
-        session's name becomes its owner id in the shared store.  ``None``
-        — the default — keeps a private page store."""
+        :class:`~repro.checkpoint.storage.ShardedPageCAS` so several
+        recorders dedup checkpoint pages against each other (fleet mode);
+        the session's name becomes its owner id in the shared store.
+        ``None`` — the default — keeps a private page store."""
         self.session = session
         self.config = config if config is not None else RecordingConfig()
         clock = session.clock

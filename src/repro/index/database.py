@@ -416,9 +416,6 @@ class TemporalTextDatabase:
         self.clock.advance_us(len(occ_ids) * self.costs.index_posting_us)
         return tuple(self._occurrences[i] for i in occ_ids)
 
-    def open_occurrences(self):
-        return [self._occurrences[i] for i in self._open_by_node.values()]
-
     def all_occurrences(self):
         return list(self._occurrences.values())
 

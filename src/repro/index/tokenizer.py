@@ -21,7 +21,3 @@ def tokenize(text):
         return []
     return _TOKEN_RE.findall(text.lower())
 
-
-def token_set(text):
-    """The distinct tokens of ``text`` as a frozenset."""
-    return frozenset(tokenize(text))

@@ -243,34 +243,3 @@ def write_events(events, fileobj=None):
         writer.write(event.etype, encode_event(event.seq, event.data))
     return writer
 
-
-def trim_before_anchor(data, checkpoint_id):
-    """Anchor-keyed segment retention: drop every event *before* the
-    given checkpoint's ``EV_ANCHOR``, keeping the ``EV_BEGIN`` metadata
-    record and the anchored suffix.
-
-    Checkpoint thinning keeps sparse anchors plus the log segment after
-    each — once every checkpoint older than an anchor is thinned or
-    pruned, the events before that anchor can no longer seed a replay
-    anybody needs, and this trims them away.  The retained events keep
-    their original sequence numbers, so replaying the trimmed log with
-    ``from_checkpoint=checkpoint_id`` verifies the identical suffix.
-    Returns ``(trimmed_bytes, events_dropped)``; raises
-    :class:`ReplayError` when the log carries no anchor for
-    ``checkpoint_id`` (trimming would strand every later tombstone).
-    """
-    events, _torn = read_events(data)
-    begin = [event for event in events[:1] if event.etype == EV_BEGIN]
-    body = events[len(begin):]
-    start = None
-    for index, event in enumerate(body):
-        if (event.etype == EV_ANCHOR
-                and event.data.get("checkpoint_id") == checkpoint_id):
-            start = index
-            break
-    if start is None:
-        raise ReplayError(
-            "no anchor for checkpoint %r in log; refusing to trim"
-            % (checkpoint_id,))
-    writer = write_events(begin + body[start:])
-    return writer.getvalue(), start

@@ -219,3 +219,34 @@ class TestFlightRecorderCli:
         verdicts = {v["name"]: v for v in data["slo"]["verdicts"]}
         assert verdicts["dedup_ratio"]["ok"] is False
         assert verdicts["crash_count"]["ok"] is True
+
+    def test_thin_crash_reports_both_passes(self):
+        import json as _json
+
+        code, output = run_cli(
+            "thin", "desktop", "--units", "60", "--recent-window", "2",
+            "--tiers", "inf:2", "--verify", "--crash", "--json")
+        assert code == 0
+        data = _json.loads(output)
+        assert data["ok"] and data["recovery_ok"] is True
+        # The crashed pass's tombstones count too, not just the re-run's.
+        assert data["thinned"] and data["bytes_freed"] > 0
+        assert set(data["verified"]) >= set(data["thinned"])
+
+    def test_revive_storm_crash_json(self):
+        import json as _json
+
+        code, output = run_cli("revive-storm", "--branches", "4",
+                               "--crash-branch", "1", "--seed", "1",
+                               "--json")
+        assert code == 0
+        data = _json.loads(output)
+        crashed = data["storm"]["crashed"]
+        assert crashed["recovery_ok"] is True
+        branches = {name: info["state"]
+                    for name, info in data["final"]["sessions"].items()
+                    if info["kind"] == "branch"}
+        assert len(branches) == 4
+        assert all(state == "done" for name, state in branches.items()
+                   if name != crashed["name"])
+        assert data["final"]["cas"]["refcount_consistent"]

@@ -14,9 +14,6 @@ midpoint of the site's activity — inside the drive, not during session
 construction.
 """
 
-import warnings
-import zlib
-
 import pytest
 
 from repro import Query
@@ -204,15 +201,15 @@ class TestCasCrashSemantics:
         storage = dejaview.storage
         # The in-flight page is torn: present in the payload map but
         # never committed (no size entry, no refcount).
-        torn = [digest for digest in storage._cas
-                if digest not in storage._cas_sizes]
+        torn = [digest for digest in storage.cas.pages
+                if digest not in storage.cas.sizes]
         assert torn, "page-append crash left no torn payload"
         report = dejaview.recover()
         assert report["ok"], report
         assert report["storage"]["cas_pages_dropped"] >= 1
         # Nothing uncommitted or unreferenced survives.
-        assert all(digest in storage._cas_sizes for digest in storage._cas)
-        assert all(refs >= 1 for refs in storage._cas_refs.values())
+        assert all(digest in storage.cas.sizes for digest in storage.cas.pages)
+        assert all(refs >= 1 for refs in storage.cas.refs.values())
         assert verify_chain(storage, session.fsstore).ok
         if dejaview.engine.history:
             revived = dejaview.take_me_back(session.clock.now_us)
@@ -225,13 +222,13 @@ class TestCasCrashSemantics:
         storage = dejaview.storage
         # Every page of the in-flight store committed, but the manifest
         # never did: the pages sit in the CAS with zero references.
-        orphans = [digest for digest, refs in storage._cas_refs.items()
+        orphans = [digest for digest, refs in storage.cas.refs.items()
                    if refs == 0]
         assert orphans, "manifest-commit crash left no orphaned pages"
         report = dejaview.recover()
         assert report["ok"], report
         assert report["storage"]["cas_orphans_reclaimed"] >= len(orphans)
-        assert all(refs >= 1 for refs in storage._cas_refs.values())
+        assert all(refs >= 1 for refs in storage.cas.refs.values())
         for digest in orphans:
             assert storage.cas_page(digest) is None
         assert verify_chain(storage, session.fsstore).ok
@@ -249,7 +246,7 @@ class TestCasCrashSemantics:
         digests = storage.manifest_digests(victim)
         assert digests, "driver checkpoints should carry pages"
         # Lose one referenced payload outright (bit-rot / lost sector).
-        del storage._cas[digests[0]]
+        del storage.cas.pages[digests[0]]
         report = storage.recover(fsstore=session.fsstore)
         assert victim in report["manifest_dropped"] \
             or victim in report["chain_dropped"]
@@ -264,9 +261,9 @@ class TestCasCrashSemantics:
         digests = storage.manifest_digests(victim)
         assert digests
         # Flip a byte: the payload no longer hashes to its address.
-        payload = bytearray(storage._cas[digests[0]])
+        payload = bytearray(storage.cas.pages[digests[0]])
         payload[0] ^= 0xFF
-        storage._cas[digests[0]] = bytes(payload)
+        storage.cas.pages[digests[0]] = bytes(payload)
         report = storage.recover(fsstore=session.fsstore)
         assert report["cas_pages_dropped"] >= 1
         assert victim not in storage
@@ -362,25 +359,6 @@ class TestFaultPlanUnit:
                 plan.check("storage.store.pre_commit")
             except Exception:  # noqa: BLE001 - the point of the test
                 pytest.fail("InjectedCrash must not be an Exception")
-
-
-class TestDeprecatedAlias:
-    def test_memory_error_alias_warns_and_resolves(self):
-        from repro.common import errors
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DeprecationWarning):
-                errors.MemoryError_  # noqa: B018
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert errors.MemoryError_ is errors.VirtualMemoryError
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.common import errors
-
-        with pytest.raises(AttributeError):
-            errors.NoSuchThing  # noqa: B018
 
 
 class TestFleetSharedCasCrash:

@@ -1,5 +1,6 @@
 """Fleet service tests: admission, scheduling determinism, quotas,
-shared-CAS accounting, fleet GC, and the multi-owner PageCAS contract.
+shared-CAS accounting, fleet GC, and the multi-owner ShardedPageCAS
+contract.
 
 The byte-level isolation property (interleaved ≡ solo) lives in
 ``tests/test_fleet_isolation.py``; this file covers the service layer
@@ -11,7 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.checkpoint.storage import PageCAS
+from repro.checkpoint.storage import ShardedPageCAS
 from repro.server import Fleet, FleetError, SessionQuotas
 from repro.server.fleet import DONE, RUNNING, THROTTLED
 from repro.workloads.fleet_wl import build_fleet, fleet_mix
@@ -255,7 +256,7 @@ class TestPageCasMultiOwner:
                         mode=False)
 
     def test_unref_reclaims_only_at_global_zero(self):
-        cas = PageCAS()
+        cas = ShardedPageCAS()
         self._committed(cas, b"d1", b"x" * 64)
         assert cas.add_ref("alice", b"d1") is True
         assert cas.add_ref("bob", b"d1") is True
@@ -267,7 +268,7 @@ class TestPageCasMultiOwner:
         assert b"d1" not in cas.pages
 
     def test_rebuild_one_owner_never_touches_the_other(self):
-        cas = PageCAS()
+        cas = ShardedPageCAS()
         for digest in (b"a", b"b", b"shared"):
             self._committed(cas, digest, digest * 32)
         cas.add_ref("alice", b"a")
@@ -284,7 +285,7 @@ class TestPageCasMultiOwner:
         assert cas.refs[b"shared"] == 1
 
     def test_owner_logical_totals(self):
-        cas = PageCAS()
+        cas = ShardedPageCAS()
         self._committed(cas, b"p", b"y" * 100)
         cas.add_ref("alice", b"p")
         cas.add_ref("bob", b"p")

@@ -310,6 +310,8 @@ class TestFleetJournal:
         # fresh process would after the host died.
         replay = replay_journal(str(tmp_path))
         assert replay.verified
+        seqs = [r.seq for r in replay.records]
+        assert seqs == sorted(set(seqs))
         sched = replay.of_type(REC_SCHED)
         assert sched and all(r.owner == "fleet" for r in sched)
         assert {r.data["picked"] for r in sched} == {"alice", "bob"}

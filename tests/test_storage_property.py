@@ -77,7 +77,7 @@ class TestStorageInvariants:
         entries = storage.cas_entries()
         assert {d: e["refs"] for d, e in entries.items()} == expected_refs
         # Every payload map entry is a committed, referenced entry.
-        assert set(storage._cas) == set(entries)
+        assert set(storage.cas.pages) == set(entries)
         # Accounting: totals equal the sum over live per-entry tables.
         expected_raw = sum(raw for raw, _comp
                            in storage._manifest_sizes.values())
@@ -128,7 +128,7 @@ class TestStorageInvariants:
             storage.delete(image_id)
         storage.compact(charge_time=False)
         assert storage.cas_entries() == {}
-        assert storage._cas == {}
+        assert storage.cas.pages == {}
         assert storage.total_uncompressed_bytes == 0
         assert storage.total_compressed_bytes == 0
 
@@ -347,7 +347,7 @@ class TestShardedLayout:
         pool = []
         image = _make_image(1, rng, pool)
         storage.store(image, charge_time=False)
-        assert storage.writeback_async
+        assert storage.cas.async_writeback
         assert storage.writeback_backlog_bytes > 0
         assert cas.backlog_pages() > 0
         # Queued pages are fully readable: logical commit is immediate.

@@ -236,7 +236,7 @@ class TestThinningGC:
             assert storage.cas_page(digest) is None
         for digest in survivor_pages:
             assert storage.cas_page(digest) is not None
-        assert all(refs >= 1 for refs in storage._cas_refs.values())
+        assert all(refs >= 1 for refs in storage.cas.refs.values())
         assert verify_chain(storage, session.fsstore).ok
 
     def test_freed_bytes_show_up_in_accounting(self):
